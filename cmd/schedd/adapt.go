@@ -23,7 +23,10 @@ import (
 // the clock the requests already carry, so the daemon stays free of
 // background goroutines and the loop stays deterministic for a given
 // request stream. Promotions apply through the same policy hot-swap the
-// /v1/policy endpoint uses, under the same lock.
+// /v1/policy endpoint uses, under the same shard lock. The loop is
+// shard-owned state in internal/fed, journaled with its shard and
+// carried in its snapshots; it needs a single shard — above one the
+// endpoint returns 501 Not Implemented.
 //
 // A round retrains from the observed window and shadow-evaluates the
 // candidates, which costs a few hundred milliseconds at the default
@@ -52,6 +55,10 @@ type adaptRequest struct {
 }
 
 func (sv *server) adapt(w http.ResponseWriter, r *http.Request) {
+	if sv.fd.Shards() > 1 {
+		writeErr(w, http.StatusNotImplemented, "the adaptive loop requires a single shard; run -shards 1")
+		return
+	}
 	switch r.Method {
 	case http.MethodGet:
 		sv.adaptStatus(w)
@@ -64,7 +71,7 @@ func (sv *server) adapt(w http.ResponseWriter, r *http.Request) {
 
 // validateAdapt caps the sizing fields a start request may carry: the
 // window is backed by a real allocation and every round runs inline
-// under the server lock, so one unbounded request must not be able to
+// under the shard lock, so one unbounded request must not be able to
 // OOM the daemon or wedge it in an hours-long round. Deliberately larger
 // experiments belong in the library API, not at the network boundary.
 func validateAdapt(req *adaptRequest) error {
@@ -96,13 +103,14 @@ func (sv *server) adaptControl(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	var err error
 	switch req.Action {
 	case "start":
-		if err := validateAdapt(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+		if verr := validateAdapt(&req); verr != nil {
+			writeErr(w, http.StatusBadRequest, verr.Error())
 			return
 		}
-		rec := durable.Record{Op: durable.OpAdaptStart, Adapt: &durable.AdaptConfig{
+		err = sv.fd.AdaptStart(durable.AdaptConfig{
 			Window:    req.Window,
 			MinWindow: req.MinWindow,
 			Interval:  req.Interval,
@@ -116,53 +124,18 @@ func (sv *server) adaptControl(w http.ResponseWriter, r *http.Request) {
 			Cooldown:  req.Cooldown,
 			Workers:   req.Workers,
 			Seed:      req.Seed,
-		}}
-		sv.mu.Lock()
-		_, err := sv.applyJournal(&rec)
-		sv.mu.Unlock()
-		if err != nil {
-			writeErr(w, errStatus(err), err.Error())
-			return
-		}
-		sv.adaptStatus(w)
+		})
 	case "stop":
-		rec := durable.Record{Op: durable.OpAdaptStop}
-		sv.mu.Lock()
-		_, err := sv.applyJournal(&rec)
-		sv.mu.Unlock()
-		if err != nil {
-			writeErr(w, errStatus(err), err.Error())
-			return
-		}
-		sv.adaptStatus(w)
+		err = sv.fd.AdaptStop()
 	default:
 		writeErr(w, http.StatusBadRequest, "action must be \"start\" or \"stop\"")
-	}
-}
-
-// adaptStep runs any adaptation round due at the current clock and
-// applies its promotion. It is called with sv.mu held, after a mutating
-// request succeeded. Loop errors are recorded for /v1/adapt rather than
-// failing the request that happened to trigger the round.
-func (sv *server) adaptStep() {
-	if sv.ad == nil {
 		return
 	}
-	d, err := sv.ad.Tick(sv.s.Clock(), sv.s.Policy())
 	if err != nil {
-		sv.adErr = err
-		sv.ad = nil // a broken loop must not re-fail every request
+		writeHandlerErr(w, err)
 		return
 	}
-	if d != nil && d.Promoted {
-		if err := sv.s.SetPolicy(d.Policy); err != nil {
-			sv.adErr = err
-		} else {
-			// Keep the snapshot descriptor pointing at the live policy; a
-			// restored daemon reparses the promoted expression.
-			sv.policyName, sv.policyExpr = d.Policy.Name(), d.PolicyExpr
-		}
-	}
+	sv.adaptStatus(w)
 }
 
 // adaptDecision is the status rendering of one adaptation round.
@@ -208,6 +181,7 @@ func renderDecision(d *adaptive.Decision) *adaptDecision {
 }
 
 func (sv *server) adaptStatus(w http.ResponseWriter) {
+	st := sv.fd.AdaptStatus()
 	resp := struct {
 		Enabled    bool           `json:"enabled"`
 		Window     int            `json:"window,omitempty"`
@@ -217,22 +191,15 @@ func (sv *server) adaptStatus(w http.ResponseWriter) {
 		Policy     string         `json:"policy"`
 		LastError  string         `json:"last_error,omitempty"`
 		Last       *adaptDecision `json:"last,omitempty"`
-	}{}
-	sv.mu.Lock()
-	resp.Policy = sv.s.Policy().Name()
-	if sv.adErr != nil {
-		resp.LastError = sv.adErr.Error()
+	}{
+		Enabled: st.Enabled, Window: st.Window, NextCheck: st.NextCheck,
+		Rounds: st.Rounds, Promotions: st.Promotions, Policy: st.Policy,
 	}
-	if sv.ad != nil {
-		resp.Enabled = true
-		resp.Window = sv.ad.WindowLen()
-		resp.NextCheck = sv.ad.NextCheck()
-		resp.Rounds = sv.ad.Rounds()
-		resp.Promotions = sv.ad.Promotions()
-		if d := sv.ad.LastDecision(); d != nil {
-			resp.Last = renderDecision(d)
-		}
+	if st.Err != nil {
+		resp.LastError = st.Err.Error()
 	}
-	sv.mu.Unlock()
+	if st.Last != nil {
+		resp.Last = renderDecision(st.Last)
+	}
 	marshalJSON(w, resp)
 }

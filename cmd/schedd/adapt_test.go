@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // adaptStatusReply mirrors the /v1/adapt GET rendering.
@@ -91,16 +86,10 @@ func TestScheddAdaptLifecycle(t *testing.T) {
 func TestScheddAdaptLoopRetrainsAndPromotes(t *testing.T) {
 	// A 64-core machine under a policy whose giant s-coefficient makes it
 	// near-FCFS on small jobs (the stale incumbent of the examples).
-	stale, err := sched.ParseExpr("STALE", "r*n + 6.86e6*log10(s)")
-	if err != nil {
-		t.Fatal(err)
+	sv, ts := startServer(t, testConfig(64))
+	if code, r := post(t, ts, "/v1/policy", `{"name":"STALE","expr":"r*n + 6.86e6*log10(s)"}`); code != 200 {
+		t.Fatalf("stale incumbent: code=%d reply=%+v", code, r)
 	}
-	s, err := online.New(64, online.Options{Policy: stale, Backfill: sim.BackfillEASY, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(s, 64, false).handler())
-	defer ts.Close()
 
 	code, _ := post(t, ts, "/v1/adapt",
 		`{"action":"start","interval":900,"window":96,"min_window":48,"tuples":2,"trials":32,"topk":2,"margin":0.05,"seed":11}`)
@@ -178,7 +167,7 @@ func TestScheddAdaptLoopRetrainsAndPromotes(t *testing.T) {
 	if sst.Policy != st.Policy {
 		t.Fatalf("policy views disagree: %q vs %q", sst.Policy, st.Policy)
 	}
-	if err := s.Err(); err != nil {
+	if err := sv.fd.Status().Err; err != nil {
 		t.Fatalf("invariant violation: %v", err)
 	}
 }

@@ -4,16 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // TestScheddConcurrentClients hammers every mutating endpoint from many
@@ -37,16 +32,7 @@ func TestScheddConcurrentClients(t *testing.T) {
 		perClient  = 120
 	)
 	total := submitters * perClient
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(s, 64, false).handler())
-	defer ts.Close()
+	sv, ts := startServer(t, testConfig(cores))
 	client := ts.Client()
 	client.Transport.(*http.Transport).MaxIdleConnsPerHost = 16
 
@@ -271,7 +257,7 @@ func TestScheddConcurrentClients(t *testing.T) {
 	if fin.Submitted != total || fin.Completed != total || fin.Queued != 0 || fin.Running != 0 {
 		t.Fatalf("final state inconsistent: %+v (want %d submitted and completed, nothing active)", fin, total)
 	}
-	if err := s.Err(); err != nil {
+	if err := sv.fd.Status().Err; err != nil {
 		t.Fatalf("invariant violation: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/schedcore"
-	"github.com/hpcsched/gensched/internal/sim"
 	"github.com/hpcsched/gensched/internal/simtest"
 	"github.com/hpcsched/gensched/internal/workload"
 )
@@ -21,7 +21,8 @@ import (
 // op stream, and require the final state to be BIT-IDENTICAL to an
 // uninterrupted run — compared as canonical snapshot bytes, which cover
 // the engine image, every metrics aggregate, the active policy
-// descriptor and the adaptive loop's state.
+// descriptor and the adaptive loop's state. The daemon journals its one
+// shard under <data-dir>/shard-0000/.
 
 // scriptOps turns a workload into the deterministic operation stream a
 // live client would produce: submissions at their submit times and
@@ -29,12 +30,10 @@ import (
 // scheduler chose (which requires actually running the scheduler while
 // scripting — the stream depends on its decisions). Control ops (policy
 // swap, adaptive start/stop) are injected at fixed op counts.
-func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withControl bool) []durable.Record {
+func scriptOps(t *testing.T, cfg daemonConfig, jobs []workload.Job, withControl bool) []durable.Record {
 	t.Helper()
-	sv, err := buildServer(init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.dataDir = ""
+	sv := bootServer(t, cfg)
 	var h schedcore.EventHeap
 	for i := range jobs {
 		h.Push(schedcore.Event{Time: jobs[i].Submit, Kind: schedcore.KindArrival, Ref: i})
@@ -61,7 +60,7 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			// the stream stops it, or the sweep isn't exercising adaptive
 			// recovery. The real runs replay this exact deterministic
 			// stream, so asserting here covers them all.
-			if sv.ad == nil || sv.ad.Rounds() == 0 {
+			if st := sv.fd.AdaptStatus(); !st.Enabled || st.Rounds == 0 {
 				t.Fatal("scripted stream never ran an adaptation round; retune the injection points")
 			}
 			ops = append(ops, durable.Record{Op: durable.OpAdaptStop})
@@ -69,14 +68,14 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			return
 		}
 		rec := ops[len(ops)-1]
-		if _, err := sv.apply(&rec); err != nil {
+		if _, _, _, err := sv.apply(&rec, nil); err != nil {
 			t.Fatalf("scripting op %d (%v): %v", len(ops)-1, rec.Op, err)
 		}
 		inject() // two injection counts can collide on one boundary
 	}
 	step := func(rec durable.Record) []online.Start {
 		inject()
-		starts, err := sv.apply(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("scripting op %d (%v): %v", len(ops), rec.Op, err)
 		}
@@ -104,7 +103,7 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 			push(step(durable.Record{Op: durable.OpComplete, Now: ev.Time, ID: jobs[ev.Ref].ID}))
 		}
 	}
-	if err := sv.s.Err(); err != nil {
+	if err := sv.fd.Status().Err; err != nil {
 		t.Fatalf("scripting run violated invariants: %v", err)
 	}
 	return ops
@@ -115,7 +114,7 @@ func scriptOps(t *testing.T, init durable.InitState, jobs []workload.Job, withCo
 // at different moments still compare equal iff their state is equal.
 func fingerprint(t *testing.T, sv *server) []byte {
 	t.Helper()
-	snap, err := sv.buildSnapshot()
+	snap, err := sv.fd.ShardSnapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,43 +122,54 @@ func fingerprint(t *testing.T, sv *server) []byte {
 	return durable.EncodeSnapshot(snap)
 }
 
+// shardDir is where the one-shard daemon journals under a data dir.
+func shardDir(dir string) string { return filepath.Join(dir, "shard-0000") }
+
+// copyDir clones a data directory recursively: kill -9 at this instant.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, werr error) error {
+		if werr != nil {
+			return werr
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+}
+
+// journaledConfig is cfg journaling to dir.
+func journaledConfig(cfg daemonConfig, dir string, ckptEvery float64) daemonConfig {
+	cfg.dataDir, cfg.ckptEvery = dir, ckptEvery
+	return cfg
 }
 
 // runJournaled boots a durable server on dir, applies ops, and calls
 // after(k) once the k-th op is on disk. Returns the server and a copy of
 // every op's start notifications.
-func runJournaled(t *testing.T, dir string, init durable.InitState, ops []durable.Record, ckptEvery float64, after func(k int)) (*server, [][]online.Start) {
+func runJournaled(t *testing.T, dir string, cfg daemonConfig, ops []durable.Record, ckptEvery float64, after func(k int)) (*server, [][]online.Start) {
 	t.Helper()
-	sv, err := openDurable(dir, 1, ckptEvery, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := bootServer(t, journaledConfig(cfg, dir, ckptEvery))
 	startsLog := make([][]online.Start, len(ops))
 	for k := range ops {
 		rec := ops[k]
-		starts, err := sv.applyJournal(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("op %d (%v): %v", k, rec.Op, err)
 		}
-		startsLog[k] = append([]online.Start(nil), starts...)
+		startsLog[k] = starts
 		if after != nil {
 			after(k)
 		}
@@ -170,15 +180,15 @@ func runJournaled(t *testing.T, dir string, init durable.InitState, ops []durabl
 // recoverAndFinish reopens a crashed data directory, replays ops[from:]
 // (checking each op's starts against the uninterrupted run), and returns
 // the final fingerprint.
-func recoverAndFinish(t *testing.T, dir string, init durable.InitState, ops []durable.Record, startsLog [][]online.Start, from int, ckptEvery float64) []byte {
+func recoverAndFinish(t *testing.T, dir string, cfg daemonConfig, ops []durable.Record, startsLog [][]online.Start, from int, ckptEvery float64) []byte {
 	t.Helper()
-	sv, err := openDurable(dir, 1, ckptEvery, init, false, true)
+	sv, err := openServer(journaledConfig(cfg, dir, ckptEvery))
 	if err != nil {
 		t.Fatalf("recovery from crash point %d: %v", from, err)
 	}
 	for k := from; k < len(ops); k++ {
 		rec := ops[k]
-		starts, err := sv.applyJournal(&rec)
+		_, starts, _, err := sv.apply(&rec, nil)
 		if err != nil {
 			t.Fatalf("crash point %d: reapplying op %d (%v): %v", from, k, rec.Op, err)
 		}
@@ -194,10 +204,17 @@ func recoverAndFinish(t *testing.T, dir string, init durable.InitState, ops []du
 		}
 	}
 	fp := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatalf("crash point %d: shutdown: %v", from, err)
 	}
 	return fp
+}
+
+// crashConfig is the daemon flag set a crash sweep runs under.
+func crashConfig(cores int, backfill, policy string, estimates bool) daemonConfig {
+	cfg := testConfig(cores)
+	cfg.backfill, cfg.policy, cfg.estimates = backfill, policy, estimates
+	return cfg
 }
 
 func crashWorkload(t *testing.T, seed uint64, n, cores int) []workload.Job {
@@ -214,30 +231,27 @@ func TestCrashRecoveryEveryRecord(t *testing.T) {
 		n = 18
 	}
 	const cores = 16
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), UseEstimates: true, PolicyName: "F1"}
+	cfg := crashConfig(cores, "easy", "F1", true)
 	jobs := crashWorkload(t, 42, n, cores)
-	ops := scriptOps(t, init, jobs, false)
+	ops := scriptOps(t, cfg, jobs, false)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, 0, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, 0, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
 	want := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A non-durable server applying the same stream: journaling must not
 	// perturb scheduling at all.
-	plain, err := buildServer(init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := bootServer(t, cfg)
 	for k := range ops {
 		rec := ops[k]
-		if _, err := plain.apply(&rec); err != nil {
+		if _, _, _, err := plain.apply(&rec, nil); err != nil {
 			t.Fatalf("plain op %d: %v", k, err)
 		}
 	}
@@ -247,13 +261,13 @@ func TestCrashRecoveryEveryRecord(t *testing.T) {
 
 	// Every record boundary: recover, replay the remainder, compare.
 	for k := range ops {
-		if got := recoverAndFinish(t, crashAt(k), init, ops, startsLog, k+1, 0); !bytes.Equal(got, want) {
+		if got := recoverAndFinish(t, crashAt(k), cfg, ops, startsLog, k+1, 0); !bytes.Equal(got, want) {
 			t.Fatalf("crash after op %d: recovered state differs from uninterrupted run", k)
 		}
 	}
 	// The graceful-shutdown path: the live dir now holds a final
 	// checkpoint; recovery from it must land on the same state.
-	if got := recoverAndFinish(t, live, init, ops, startsLog, len(ops), 0); !bytes.Equal(got, want) {
+	if got := recoverAndFinish(t, live, cfg, ops, startsLog, len(ops), 0); !bytes.Equal(got, want) {
 		t.Fatal("recovery from the final checkpoint differs from uninterrupted run")
 	}
 }
@@ -267,25 +281,25 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		n = 10
 	}
 	const cores = 8
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillConservative), PolicyName: "FCFS"}
+	cfg := crashConfig(cores, "conservative", "FCFS", false)
 	jobs := crashWorkload(t, 7, n, cores)
-	ops := scriptOps(t, init, jobs, false)
+	ops := scriptOps(t, cfg, jobs, false)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, 0, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, 0, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
 	want := fingerprint(t, sv)
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	for k := 1; k < len(ops); k += 3 {
 		// The dir copy at k ends with op k's frame; chop bytes off its
 		// tail so recovery sees a torn append of op k.
-		dir := crashAt(k)
+		dir := shardDir(crashAt(k))
 		names, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -306,13 +320,13 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 			if cut <= 0 || cut >= frameLen {
 				continue
 			}
-			torn := filepath.Join(base, fmt.Sprintf("torn-%04d-%d", k, cut))
+			torn := shardDir(filepath.Join(base, fmt.Sprintf("torn-%04d-%d", k, cut)))
 			copyDir(t, dir, torn)
 			if err := os.WriteFile(filepath.Join(torn, filepath.Base(segPath)), full[:len(full)-cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			// Op k's append was torn away: recovery resumes from op k.
-			if got := recoverAndFinish(t, torn, init, ops, startsLog, k, 0); !bytes.Equal(got, want) {
+			if got := recoverAndFinish(t, filepath.Dir(torn), cfg, ops, startsLog, k, 0); !bytes.Equal(got, want) {
 				t.Fatalf("torn tail at op %d (cut %d): recovered state differs", k, cut)
 			}
 		}
@@ -323,6 +337,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 // copy, so the caller can compute the last op's frame length.
 func segmentLenAfter(t *testing.T, dir string) int {
 	t.Helper()
+	dir = shardDir(dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -352,40 +367,40 @@ func TestCrashRecoveryWithCheckpointsAndAdaptive(t *testing.T) {
 	}
 	const cores = 16
 	const ckptEvery = 150 // logical seconds; the op stream spans far more
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), UseEstimates: true, PolicyName: "F1"}
+	cfg := crashConfig(cores, "easy", "F1", true)
 	jobs := crashWorkload(t, 1234, n, cores)
-	ops := scriptOps(t, init, jobs, true)
+	ops := scriptOps(t, cfg, jobs, true)
 
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	crashAt := func(k int) string { return filepath.Join(base, fmt.Sprintf("crash-%04d", k)) }
-	sv, startsLog := runJournaled(t, live, init, ops, ckptEvery, func(k int) {
+	sv, startsLog := runJournaled(t, live, cfg, ops, ckptEvery, func(k int) {
 		copyDir(t, live, crashAt(k))
 	})
-	if got, wantSeq := sv.store.Seq(), uint64(len(ops)+1); got != wantSeq {
+	if got, wantSeq := sv.fd.Health()[0].Seq, uint64(len(ops)+1); got != wantSeq {
 		t.Fatalf("journal sequence after the run = %d, want %d (genesis + ops)", got, wantSeq)
 	}
 	want := fingerprint(t, sv)
-	if sv.ad != nil {
+	if sv.fd.AdaptStatus().Enabled {
 		t.Fatal("scripted stream should have stopped the adaptive loop")
 	}
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	sawSnapshot := false
 	for k := range ops {
-		if _, err := os.Stat(filepath.Join(crashAt(k), "snapshot")); err == nil {
+		if _, err := os.Stat(filepath.Join(shardDir(crashAt(k)), "snapshot")); err == nil {
 			sawSnapshot = true
 		}
-		if got := recoverAndFinish(t, crashAt(k), init, ops, startsLog, k+1, ckptEvery); !bytes.Equal(got, want) {
+		if got := recoverAndFinish(t, crashAt(k), cfg, ops, startsLog, k+1, ckptEvery); !bytes.Equal(got, want) {
 			t.Fatalf("crash after op %d: recovered state differs from uninterrupted run", k)
 		}
 	}
 	if !sawSnapshot {
 		t.Fatal("no crash point contained a checkpoint; lower ckptEvery")
 	}
-	if got := recoverAndFinish(t, live, init, ops, startsLog, len(ops), ckptEvery); !bytes.Equal(got, want) {
+	if got := recoverAndFinish(t, live, cfg, ops, startsLog, len(ops), ckptEvery); !bytes.Equal(got, want) {
 		t.Fatal("recovery from the final checkpoint differs from uninterrupted run")
 	}
 }
@@ -394,34 +409,34 @@ func TestCrashRecoveryWithCheckpointsAndAdaptive(t *testing.T) {
 // machine shape refuses to boot under different flags.
 func TestDataDirFlagMismatch(t *testing.T) {
 	const cores = 8
-	init := durable.InitState{Cores: cores, Backfill: int(sim.BackfillEASY), PolicyName: "FCFS"}
 	dir := t.TempDir()
-	sv, err := openDurable(dir, 1, 0, init, false, false)
+	cfg := journaledConfig(crashConfig(cores, "easy", "FCFS", false), dir, 0)
+	sv, err := openServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := durable.Record{Op: durable.OpSubmit, Now: 1, Job: workload.Job{ID: 1, Submit: 1, Runtime: 10, Cores: 1}}
-	if _, err := sv.applyJournal(&rec); err != nil {
+	if _, _, _, err := sv.apply(&rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	bad := init
-	bad.Cores = 16
-	if _, err := openDurable(dir, 1, 0, bad, false, false); err == nil {
+	bad := cfg
+	bad.cores = 16
+	if _, err := openServer(bad); err == nil {
 		t.Fatal("boot accepted a journal recorded with different cores")
 	}
 	// The original shape still boots, and the submitted job survived.
-	sv2, err := openDurable(dir, 1, 0, init, false, false)
+	sv2, err := openServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sv2.s.Status()
+	st := sv2.fd.Status()
 	if st.Running+st.Queued != 1 {
 		t.Fatalf("recovered status lost the job: %+v", st)
 	}
-	if err := sv2.shutdownStore(); err != nil {
+	if err := sv2.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }

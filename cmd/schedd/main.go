@@ -16,32 +16,36 @@
 //	GET  /v1/metrics
 //	GET  /v1/trace     decision trace (?format=jsonl|chrome&sample=K&limit=N)
 //	GET  /metrics      Prometheus text exposition
-//	GET  /healthz      503 once the journal has latched a failure
+//	GET  /healthz      503 once every shard's journal has latched a failure
 //	GET  /debug/pprof/ (with -pprof)
 //
-// Mutating endpoints reply {"now":..,"started":[{"id":..,"time":..,"wait":..,
-// "backfilled":..},...]} — the jobs the request's scheduling pass started —
-// or {"error":"..."} with a 4xx status. The clock is logical by default:
+// Mutating endpoints reply {"started":[{"id":..,"time":..,"wait":..,
+// "backfilled":..},...],"now":..} — the jobs the request's scheduling pass
+// started; above one shard a submit's reply also names its "shard" — or
+// {"error":"..."} with a 4xx/5xx status. The clock is logical by default:
 // each request carries "now" in seconds (omitted = the current clock) and
 // time never goes backward. With -clock real the daemon stamps requests
-// with wall time since boot instead and "now" is ignored.
+// with wall time instead, continuing from the recovered clock, and "now"
+// is ignored.
 //
-// schedd shuts down gracefully on SIGINT/SIGTERM: the durable journal is
-// flushed and closed after the final in-flight mutation (later mutations
-// get 503), then in-flight requests drain before the process exits. A
-// drain-time fsync failure latches the store — /healthz reports 503 for
-// the rest of the grace period and the exit status is nonzero.
+// schedd shuts down gracefully on SIGINT/SIGTERM: every durable journal
+// is checkpointed, flushed and closed after the final in-flight mutation
+// (later mutations get 503), then in-flight requests drain before the
+// process exits. A drain-time fsync failure latches the store — /healthz
+// reports 503 for the rest of the grace period and the exit status is
+// nonzero.
 //
-// With -shards N (N > 1) the daemon becomes a federation: N independent
-// shard schedulers, each its own -cores machine with its own logical
-// clock, behind a deterministic consistent-hash router with a
-// least-loaded fallback. /v1/status, /v1/metrics, /metrics and /v1/trace
-// merge the shards deterministically ((clock, shard, seq) order). With
-// -data-dir each shard journals to <data-dir>/shard-NNNN/ and recovers
-// independently on boot (a pre-federation flat layout is adopted as
-// shard 0); a shard whose store fails is quarantined — its mutations
-// return 503 + Retry-After while healthy shards keep serving. /v1/adapt
-// remains a single-engine feature.
+// There is one daemon: -shards N (default 1) runs N independent shard
+// schedulers, each its own -cores machine with its own logical clock,
+// behind a deterministic consistent-hash router with a least-loaded
+// fallback. /v1/status, /v1/metrics, /metrics and /v1/trace merge the
+// shards deterministically ((clock, shard, seq) order). With -data-dir
+// each shard journals to <data-dir>/shard-NNNN/ — at -shards 1 too, and
+// a flat single-engine layout is adopted as shard 0 on first boot — and
+// recovers independently on boot; a shard whose store fails is
+// quarantined — its mutations return 503 + Retry-After while healthy
+// shards keep serving. The adaptive loop (/v1/adapt) runs on a single
+// shard; above one shard the endpoint returns 501.
 //
 // With -binary-addr the same mutations are additionally served over a
 // compact length-prefixed binary protocol (see internal/fed: wire.go)
@@ -68,7 +72,6 @@ import (
 	"time"
 
 	gensched "github.com/hpcsched/gensched"
-	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/sim"
 )
@@ -91,7 +94,7 @@ type daemonConfig struct {
 	traceBuf  int     // decision-trace ring capacity in events
 	pprofFlag bool    // expose net/http/pprof under /debug/pprof/
 
-	shards     int    // federated shard count; 1 = the classic single engine
+	shards     int    // shard count (1 = one engine behind the same router)
 	binaryAddr string // compact binary protocol listener ("" = disabled)
 	fedSeed    uint64 // router ring seed (placements are a pure function of it)
 }
@@ -123,54 +126,13 @@ func main() {
 }
 
 func run(cfg daemonConfig) error {
-	p, err := resolvePolicy(cfg.policy, "")
+	sv, err := openServer(cfg)
 	if err != nil {
 		return err
 	}
-	bf, err := parseBackfill(cfg.backfill)
-	if err != nil {
-		return err
-	}
-	var realClock bool
-	switch cfg.clock {
-	case "logical":
-	case "real":
-		realClock = true
-	default:
-		return fmt.Errorf("unknown clock source %q", cfg.clock)
-	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
-	}
-	if cfg.shards > 1 {
-		return runFederated(cfg, p, bf, realClock)
-	}
-	init := durable.InitState{
-		Cores:        cfg.cores,
-		Backfill:     int(bf),
-		UseEstimates: cfg.estimates,
-		Tau:          cfg.tau,
-		PolicyName:   cfg.policy,
-	}
-	var srv *server
-	if cfg.dataDir == "" {
-		srv, err = buildServer(init, realClock, cfg.check)
-	} else {
-		srv, err = openDurable(cfg.dataDir, cfg.fsync, cfg.ckptEvery, init, realClock, cfg.check)
-	}
-	if err != nil {
-		return err
-	}
-	if cfg.telemetry {
-		// After recovery replay: the counters describe this process's
-		// live traffic, while /v1/status carries the recovery provenance.
-		srv.enableTelemetry(cfg.traceBuf)
-	}
-	srv.pprofOn = cfg.pprofFlag
-
 	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		_ = srv.shutdownStore() // cleanup; the listen error is already being reported
+		_ = sv.fd.Drain() // cleanup; the listen error is already being reported
 		return err
 	}
 	var bin *binServer
@@ -178,34 +140,34 @@ func run(cfg daemonConfig) error {
 		bl, berr := net.Listen("tcp", cfg.binaryAddr)
 		if berr != nil {
 			_ = l.Close()
-			_ = srv.shutdownStore()
+			_ = sv.fd.Drain()
 			return berr
 		}
-		bin = newBinServer(bl, srv)
+		bin = newBinServer(bl, sv)
 		bin.start()
 		fmt.Fprintf(os.Stderr, "schedd: binary protocol on %s\n", bl.Addr())
 	}
-	fmt.Fprintf(os.Stderr, "schedd: serving %d cores under %s+%s on %s (clock: %s)\n",
-		cfg.cores, p.Name(), bf, l.Addr(), cfg.clock)
+	fmt.Fprintf(os.Stderr, "schedd: serving %d shard(s) × %d cores under %s+%s on %s (clock: %s, seed %d)\n",
+		cfg.shards, cfg.cores, sv.fd.Status().Policy, cfg.backfill, l.Addr(), cfg.clock, cfg.fedSeed)
 	if cfg.dataDir != "" {
-		fmt.Fprintf(os.Stderr, "schedd: journaling to %s (fsync every %d, checkpoint every %gs, recovered to t=%g seq=%d)\n",
-			cfg.dataDir, cfg.fsync, cfg.ckptEvery, srv.s.Clock(), srv.store.Seq())
+		fmt.Fprintf(os.Stderr, "schedd: journaling per shard under %s (fsync every %d, checkpoint every %gs, recovered to t=%g)\n",
+			cfg.dataDir, cfg.fsync, cfg.ckptEvery, sv.fd.Clock())
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = serve(ctx, l, srv.handler(), func() error {
-		// Binary connections first — their mutations share sv.mu, so once
-		// the listener and conns are gone, drainStore's mutex acquisition
-		// is the last word on in-flight mutations.
+	err = serve(ctx, l, sv.handler(), func() error {
+		// Binary connections stop first so the federation's drain — which
+		// waits out in-flight mutations shard by shard and then checkpoints
+		// and closes every shard store — is the last word.
 		if bin != nil {
 			bin.stop()
 		}
-		return srv.drainStore()
+		return sv.fd.Drain()
 	})
-	// Safety net for the non-drain exit paths (listener error): idempotent
-	// after a graceful drain.
-	if serr := srv.shutdownStore(); err == nil {
-		err = serr
+	// Safety net for the non-drain exit paths (listener error); Drain is
+	// idempotent after a graceful drain.
+	if derr := sv.fd.Drain(); err == nil {
+		err = derr
 	}
 	if bin != nil {
 		bin.stop()

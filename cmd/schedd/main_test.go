@@ -10,24 +10,42 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
-func newTestServer(t *testing.T, cores int) *httptest.Server {
+// testConfig is the flag set the handler tests boot: FCFS+EASY on one
+// in-memory shard of the given size, invariant checking on, telemetry
+// off.
+func testConfig(cores int) daemonConfig {
+	return daemonConfig{
+		cores: cores, policy: "FCFS", backfill: "easy", clock: "logical",
+		check: true, fsync: 1, traceBuf: 4096, shards: 1, fedSeed: 1,
+	}
+}
+
+// bootServer builds the daemon run() would serve for cfg and drains it
+// when the test ends.
+func bootServer(t testing.TB, cfg daemonConfig) *server {
 	t.Helper()
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
+	sv, err := openServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(s, cores, false).handler())
+	t.Cleanup(func() { _ = sv.fd.Drain() }) // idempotent; tests that drain check the outcome themselves
+	return sv
+}
+
+// startServer boots cfg behind an httptest listener.
+func startServer(t *testing.T, cfg daemonConfig) (*server, *httptest.Server) {
+	t.Helper()
+	sv := bootServer(t, cfg)
+	ts := httptest.NewServer(sv.handler())
 	t.Cleanup(ts.Close)
+	return sv, ts
+}
+
+func newTestServer(t *testing.T, cores int) *httptest.Server {
+	t.Helper()
+	_, ts := startServer(t, testConfig(cores))
 	return ts
 }
 
@@ -207,18 +225,14 @@ func TestScheddAdvanceEndpointFlushesPendingPass(t *testing.T) {
 // port, verifies it answers, cancels the context (the SIGTERM path) and
 // requires a clean drain.
 func TestScheddGracefulShutdown(t *testing.T) {
-	s, err := online.New(8, online.Options{Policy: sched.FCFS()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := bootServer(t, testConfig(8))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	srv := newServer(s, 64, false)
-	go func() { done <- serve(ctx, l, srv.handler(), srv.drainStore) }()
+	go func() { done <- serve(ctx, l, sv.handler(), sv.fd.Drain) }()
 
 	url := fmt.Sprintf("http://%s", l.Addr())
 	var lastErr error

@@ -3,80 +3,95 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/hpcsched/gensched/internal/adaptive"
 	"github.com/hpcsched/gensched/internal/durable"
 	"github.com/hpcsched/gensched/internal/fed"
 	"github.com/hpcsched/gensched/internal/online"
+	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/telemetry"
 	"github.com/hpcsched/gensched/internal/workload"
 )
 
-// server wraps one online.Scheduler behind HTTP handlers. One mutex
-// serializes every scheduler interaction; responses are rendered into
-// pooled buffers while the lock is held (the scheduler's start slices are
-// scratch) and written after it is released, so a slow client never
-// stalls the scheduling core.
-//
-// The steady-state hot path allocates only what request decoding needs:
-// scheduler operations are allocation-free and the response bytes come
-// from the pool.
+// server serves a fed.Federation — one shard or many — over HTTP/JSON
+// and the binary protocol. The federation does its own locking (router
+// under one mutex, each shard under its own), so there is no handler
+// mutex: requests for different shards run concurrently. Mutation
+// replies are rendered from pooled buffers, so the steady-state hot
+// path allocates only what request decoding needs.
 type server struct {
-	mu        sync.Mutex
-	s         *online.Scheduler
-	cores     int
+	fd        *fed.Federation
 	realClock bool
-	epoch     time.Time
+	epoch     time.Time // -clock real: the instant the shard clocks read 0
 
-	// ad is the attached adaptive retraining loop, if /v1/adapt started
-	// one (see adapt.go); adErr records its last failure; adCfg is the
-	// journaled sizing that started the loop (carried into snapshots).
-	// All guarded by mu like every other scheduler interaction.
-	ad    *adaptive.Controller
-	adErr error
-	adCfg *durable.AdaptConfig
-
-	// Durability (see durable.go). store is nil without -data-dir.
-	// policyName/policyExpr track the descriptor of the active policy so
-	// a snapshot can rebuild it through resolvePolicy. storeErr latches
-	// the first journal failure: the in-memory state is then ahead of the
-	// durable state, so further mutations are refused rather than
-	// widening the gap.
-	store       *durable.Store
-	storeErr    error
-	storeClosed bool // the journal was checkpointed and closed (shutdown ran)
-	draining    bool // SIGTERM drain began: refuse new mutations with 503
-	init        durable.InitState
-	policyName  string
-	policyExpr  string
-	ckptEvery   float64 // logical seconds between checkpoints (0 = off)
-	lastCkpt    float64
-
-	// Telemetry (see telemetry.go). tel instruments the scheduler stack
-	// on the logical clock; edge holds the wall-clock per-endpoint
-	// latency histograms fed only at the HTTP boundary; recov is the
-	// recovery provenance /v1/status reports. tel and edge are set once
-	// by enableTelemetry before the daemon serves, never swapped after.
-	tel     *telemetry.Sink
-	edge    *telemetry.Edge
-	recov   recoveryInfo
+	edge    *telemetry.Edge // wall-clock endpoint latencies; nil without -telemetry
 	pprofOn bool
 
-	bufs sync.Pool // *[]byte response buffers
+	bufs   sync.Pool // *[]byte response buffers
+	starts sync.Pool // *[]online.Start scratch
 }
 
-func newServer(s *online.Scheduler, cores int, realClock bool) *server {
-	return &server{
-		s:         s,
-		cores:     cores,
-		realClock: realClock,
-		epoch:     time.Now(),
-		bufs:      sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
+// openServer builds the daemon run() serves: the federation (recovered
+// from -data-dir when set) plus its HTTP/binary edge.
+func openServer(cfg daemonConfig) (*server, error) {
+	p, err := resolvePolicy(cfg.policy, "")
+	if err != nil {
+		return nil, err
 	}
+	bf, err := parseBackfill(cfg.backfill)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.clock != "logical" && cfg.clock != "real" {
+		return nil, fmt.Errorf("unknown clock source %q", cfg.clock)
+	}
+	if cfg.shards < 1 {
+		return nil, fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
+	}
+	fcfg := fed.Config{
+		Shards:     cfg.shards,
+		ShardCores: cfg.cores,
+		Opt: online.Options{
+			Policy:       p,
+			UseEstimates: cfg.estimates,
+			Backfill:     bf,
+			Tau:          cfg.tau,
+			Check:        cfg.check,
+		},
+		Seed: cfg.fedSeed,
+	}
+	if cfg.telemetry {
+		fcfg.TraceBuf = cfg.traceBuf
+	}
+	fd, err := fed.Open(fcfg, fed.DurableConfig{
+		Dir:           cfg.dataDir,
+		SyncEvery:     cfg.fsync,
+		CkptEvery:     cfg.ckptEvery,
+		PolicyName:    cfg.policy,
+		ResolvePolicy: resolvePolicy,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sv := &server{
+		fd:        fd,
+		realClock: cfg.clock == "real",
+		// Wall time continues from the recovered clock instead of
+		// restarting at zero, which would stall every stamp until wall
+		// time caught up with the recovered state.
+		epoch:   time.Now().Add(-time.Duration(fd.Clock() * float64(time.Second))),
+		pprofOn: cfg.pprofFlag,
+		bufs:    sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
+		starts:  sync.Pool{New: func() any { s := make([]online.Start, 0, 64); return &s }},
+	}
+	if cfg.telemetry {
+		sv.edge = telemetry.NewEdge(edgeEndpoints...)
+	}
+	return sv, nil
 }
 
 // statusError pins an HTTP status to an error. Handler errors default to
@@ -91,18 +106,19 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-func httpError(code int, err error) error { return &statusError{code: code, err: err} }
-func badRequest(err error) error          { return httpError(http.StatusBadRequest, err) }
+func badRequest(err error) error { return &statusError{code: http.StatusBadRequest, err: err} }
 
 // errStatus maps a handler error to its HTTP status. Federation
 // degradation errors carry their own mapping: a quarantined shard or a
 // drain in progress refuses before applying (503, retryable), while a
-// journal failure after the mutation applied is a 500, exactly like the
-// single engine's latched-store refusal.
+// journal failure after the mutation applied is a 500.
 func errStatus(err error) int {
 	var se *statusError
 	if errors.As(err, &se) {
 		return se.code
+	}
+	if errors.Is(err, fed.ErrBadAdapt) {
+		return http.StatusBadRequest
 	}
 	var down *fed.ShardDownError
 	if errors.As(err, &down) || errors.Is(err, fed.ErrDraining) {
@@ -120,22 +136,11 @@ func errStatus(err error) int {
 // drain-then-restart rolls through quickly.
 const retryAfterSecs = "1"
 
-// errRetryable reports whether a handler error is a refused-before-apply
-// condition the client may simply resend: the fed package's retryable
-// set, plus any 503-classed statusError (drain in progress, shutdown).
-func errRetryable(err error) bool {
-	if fed.Retryable(err) {
-		return true
-	}
-	var se *statusError
-	return errors.As(err, &se) && se.code == http.StatusServiceUnavailable
-}
-
 // writeHandlerErr renders a handler error, attaching Retry-After to
-// retryable refusals so polite clients back off instead of hammering a
-// draining or degraded daemon.
+// refused-before-apply conditions (fed.Retryable) so polite clients
+// back off instead of hammering a draining or degraded daemon.
 func writeHandlerErr(w http.ResponseWriter, err error) {
-	if errRetryable(err) {
+	if fed.Retryable(err) {
 		w.Header().Set("Retry-After", retryAfterSecs)
 	}
 	writeErr(w, errStatus(err), err.Error())
@@ -152,27 +157,40 @@ func (sv *server) handler() http.Handler {
 	mux.HandleFunc("/v1/metrics", sv.timed("metrics", sv.get(sv.metrics)))
 	mux.HandleFunc("/v1/trace", sv.trace)
 	mux.HandleFunc("/metrics", sv.promMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			writeErr(w, http.StatusMethodNotAllowed, "GET or HEAD only")
-			return
-		}
-		// A daemon whose journal has failed is alive but must not take
-		// traffic: its memory is ahead of disk and every further mutation
-		// is refused with a 500. Report non-200 so a load balancer drains
-		// it instead of routing submits into guaranteed failures.
-		sv.mu.Lock()
-		err := sv.storeErr
-		sv.mu.Unlock()
-		if err != nil {
-			w.Header().Set("Retry-After", retryAfterSecs)
-			writeErr(w, http.StatusServiceUnavailable, "durable store failed: "+err.Error())
-			return
-		}
-		_, _ = w.Write([]byte("ok\n")) // a probe that hung up is its own problem
-	})
+	mux.HandleFunc("/healthz", sv.healthz)
 	registerPprof(mux, sv.pprofOn)
 	return mux
+}
+
+// healthz reports store health: 200 while any shard can take traffic
+// ("degraded" when some are quarantined — the per-request 503s steer
+// clients off the dead shards while the rest keep serving), 503 once
+// every shard's journal has failed. A clean drain is not a failure.
+func (sv *server) healthz(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		writeErr(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		return
+	}
+	health := sv.fd.Health()
+	down, firstErr := 0, ""
+	for _, h := range health {
+		if h.Quarantined {
+			if down == 0 {
+				firstErr = h.StoreErr
+			}
+			down++
+		}
+	}
+	switch {
+	case down == 0:
+		_, _ = w.Write([]byte("ok\n")) // a probe that hung up is its own problem
+	case down < len(health):
+		fmt.Fprintf(w, "degraded (%d/%d shards quarantined)\n", down, len(health))
+	default:
+		w.Header().Set("Retry-After", retryAfterSecs)
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("durable store failed on all %d shard(s): %s", down, firstErr))
+	}
 }
 
 // request is the body every mutating endpoint accepts; endpoints read the
@@ -224,10 +242,11 @@ func (sv *server) get(h func(http.ResponseWriter)) http.HandlerFunc {
 	}
 }
 
-// now resolves the effective clock for a request: wall time since boot
-// under -clock real, the request's "now" (never backward; omitted means
-// "at the current clock", and an explicit 0 IS instant zero) under the
-// logical clock. Called with sv.mu held — it reads the clock.
+// now resolves the effective clock for a request: wall time under
+// -clock real; otherwise the request's "now" (explicit 0 IS instant
+// zero), then "submit" when positive, then the federation clock (the
+// maximum shard clock — per-shard clamping keeps every shard monotonic
+// regardless).
 func (sv *server) now(req *request) float64 {
 	if sv.realClock {
 		return time.Since(sv.epoch).Seconds()
@@ -238,79 +257,105 @@ func (sv *server) now(req *request) float64 {
 	if req.Submit > 0 {
 		return req.Submit
 	}
-	return sv.s.Clock()
+	return sv.fd.Clock()
 }
 
-// mutate runs one mutating operation through the full path — build its
-// journal record under the lock (the resolved clock lives in the
-// record), apply, journal, checkpoint if due — and renders the start
-// notifications. The op must leave the clock untouched when it fails
-// (the online composite operations guarantee this), so a rejected
-// request can never wedge the stream by stranding the clock in the
-// future.
-func (sv *server) mutate(w http.ResponseWriter, build func() durable.Record) error {
-	bp := sv.bufs.Get().(*[]byte)
-	buf := append((*bp)[:0], `{"started":[`...)
-	sv.mu.Lock()
-	rec := build()
-	starts, err := sv.applyJournal(&rec)
+// apply dispatches one mutation record through the federation, exactly
+// as its HTTP endpoint does: the binary listener's path, and the one the
+// crash suites drive. It returns the landing shard (-1 unless a submit),
+// the starts appended to buf, and the resulting clock. An operation
+// must leave the clock untouched when it fails (the online composite
+// operations guarantee this), so a rejected request can never wedge the
+// stream by stranding the clock in the future.
+func (sv *server) apply(rec *durable.Record, buf []online.Start) (shard int, starts []online.Start, clock float64, err error) {
+	switch rec.Op {
+	case durable.OpSubmit:
+		// Shape problems — nonpositive cores or runtime, wider than one
+		// shard — are the client's fault: 400, before anything mutates.
+		// What remains are state conflicts (duplicate ID, future submit),
+		// which stay 409.
+		if err := rec.Job.Validate(sv.fd.ShardCores()); err != nil {
+			return -1, buf, 0, badRequest(err)
+		}
+		return sv.fd.Submit(rec.Now, rec.Job, buf)
+	case durable.OpComplete:
+		starts, clock, err = sv.fd.Complete(rec.Now, rec.ID, buf)
+		return -1, starts, clock, err
+	case durable.OpAdvance:
+		starts, clock, err = sv.fd.AdvanceTo(rec.Now, buf)
+		return -1, starts, clock, err
+	case durable.OpPolicy:
+		_, err = sv.setPolicy(rec.Name, rec.Expr)
+	case durable.OpAdaptStart:
+		if rec.Adapt == nil {
+			return -1, buf, 0, badRequest(errors.New("adapt-start record without config"))
+		}
+		err = sv.fd.AdaptStart(*rec.Adapt)
+	case durable.OpAdaptStop:
+		err = sv.fd.AdaptStop()
+	default:
+		return -1, buf, 0, badRequest(fmt.Errorf("unexpected op %v", rec.Op))
+	}
+	return -1, buf, sv.fd.Clock(), err
+}
+
+// setPolicy resolves a policy descriptor and swaps it in on every
+// shard; the journal records the descriptor, not the value.
+func (sv *server) setPolicy(name, expr string) (sched.Policy, error) {
+	p, err := resolvePolicy(name, expr)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	return p, sv.fd.SetPolicyNamed(p, name, expr)
+}
+
+// mutate applies one mutation request and renders its
+// {"started":[...],"now":..} reply from pooled buffers. Above one shard
+// a submit's reply also names the shard it landed on; at one shard the
+// reply carries no shard key.
+func (sv *server) mutate(w http.ResponseWriter, rec *durable.Record) error {
+	sp := sv.starts.Get().(*[]online.Start)
+	shard, starts, clock, err := sv.apply(rec, (*sp)[:0])
+	*sp = starts
 	if err == nil {
-		n := 0
-		buf = appendStarts(buf, &n, starts)
+		bp := sv.bufs.Get().(*[]byte)
+		buf := append((*bp)[:0], `{"started":[`...)
+		buf = appendStarts(buf, starts)
 		buf = append(buf, `],"now":`...)
-		buf = strconv.AppendFloat(buf, sv.s.Clock(), 'g', -1, 64)
+		buf = strconv.AppendFloat(buf, clock, 'g', -1, 64)
+		if shard >= 0 && sv.fd.Shards() > 1 {
+			buf = append(buf, `,"shard":`...)
+			buf = strconv.AppendInt(buf, int64(shard), 10)
+		}
 		buf = append(buf, '}', '\n')
-	}
-	sv.mu.Unlock()
-	if err == nil {
 		writeJSON(w, buf)
+		*bp = buf
+		sv.bufs.Put(bp)
 	}
-	*bp = buf
-	sv.bufs.Put(bp)
+	sv.starts.Put(sp)
 	return err
 }
 
 func (sv *server) submit(w http.ResponseWriter, req *request) error {
-	job := workload.Job{
+	return sv.mutate(w, &durable.Record{Op: durable.OpSubmit, Now: sv.now(req), Job: workload.Job{
 		ID:       req.ID,
 		Submit:   req.Submit,
 		Runtime:  req.Runtime,
 		Estimate: req.Estimate,
 		Cores:    req.Cores,
-	}
-	// Shape problems — nonpositive cores or runtime, oversized for the
-	// platform — are the client's fault: 400, before anything mutates.
-	// What remains for SubmitAt are state conflicts (duplicate ID, future
-	// submit), which stay 409.
-	if err := job.Validate(sv.cores); err != nil {
-		return badRequest(err)
-	}
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpSubmit, Now: sv.now(req), Job: job}
-	})
+	}})
 }
 
 func (sv *server) complete(w http.ResponseWriter, req *request) error {
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpComplete, Now: sv.now(req), ID: req.ID}
-	})
+	return sv.mutate(w, &durable.Record{Op: durable.OpComplete, Now: sv.now(req), ID: req.ID})
 }
 
 func (sv *server) advance(w http.ResponseWriter, req *request) error {
-	return sv.mutate(w, func() durable.Record {
-		return durable.Record{Op: durable.OpAdvance, Now: sv.now(req)}
-	})
+	return sv.mutate(w, &durable.Record{Op: durable.OpAdvance, Now: sv.now(req)})
 }
 
 func (sv *server) policy(w http.ResponseWriter, req *request) error {
-	p, err := resolvePolicy(req.Name, req.Expr)
-	if err != nil {
-		return badRequest(err)
-	}
-	rec := durable.Record{Op: durable.OpPolicy, Name: req.Name, Expr: req.Expr}
-	sv.mu.Lock()
-	_, err = sv.applyJournal(&rec)
-	sv.mu.Unlock()
+	p, err := sv.setPolicy(req.Name, req.Expr)
 	if err != nil {
 		return err
 	}
@@ -322,85 +367,113 @@ func (sv *server) policy(w http.ResponseWriter, req *request) error {
 // they go through encoding/json on tagged structs — no hand-maintained
 // field lists to drift from online.Status/Metrics.
 
-// durableStatus is the recovery-provenance block /v1/status reports for
-// a journaled daemon: where the journal stands now, and how the current
-// process came back (snapshot vs replay) — previously invisible after a
-// crash-restart.
-type durableStatus struct {
-	JournalSeq          uint64  `json:"journal_seq"`
-	LastCheckpointClock float64 `json:"last_checkpoint_clock"`
-	Recovered           bool    `json:"recovered"`
-	FromSnapshot        bool    `json:"from_snapshot,omitempty"`
-	SnapshotSeq         uint64  `json:"snapshot_seq,omitempty"`
-	SnapshotClock       float64 `json:"snapshot_clock,omitempty"`
-	ReplayedRecords     int     `json:"replayed_records,omitempty"`
-	SegmentsScanned     int     `json:"segments_scanned,omitempty"`
-	StoreError          string  `json:"store_error,omitempty"`
+// shardStatus is one shard's block in /v1/status. The durability fields
+// appear only on a journaled daemon: quarantined + store error report
+// degradation, the rest is recovery provenance.
+type shardStatus struct {
+	Now           float64 `json:"now"`
+	Cores         int     `json:"cores"`
+	FreeCores     int     `json:"free_cores"`
+	Queued        int     `json:"queued"`
+	Running       int     `json:"running"`
+	Submitted     int     `json:"submitted"`
+	Completed     int     `json:"completed"`
+	Quarantined   bool    `json:"quarantined,omitempty"`
+	StoreError    string  `json:"store_error,omitempty"`
+	JournalSeq    uint64  `json:"journal_seq,omitempty"`
+	Recovered     bool    `json:"recovered,omitempty"`
+	FromSnapshot  bool    `json:"from_snapshot,omitempty"`
+	SnapshotSeq   uint64  `json:"snapshot_seq,omitempty"`
+	SnapshotClock float64 `json:"snapshot_clock,omitempty"`
+	Replayed      int     `json:"replayed_records,omitempty"`
+	Segments      int     `json:"segments_scanned,omitempty"`
 }
 
 func (sv *server) status(w http.ResponseWriter) {
-	sv.mu.Lock()
-	st := sv.s.Status()
-	err := sv.s.Err()
-	var dur *durableStatus
-	if sv.store != nil {
-		dur = &durableStatus{
-			JournalSeq:          sv.store.Seq(),
-			LastCheckpointClock: sv.lastCkpt,
-			Recovered:           sv.recov.Recovered,
-			FromSnapshot:        sv.recov.FromSnapshot,
-			SnapshotSeq:         sv.recov.SnapshotSeq,
-			SnapshotClock:       sv.recov.SnapshotClock,
-			ReplayedRecords:     sv.recov.Replayed,
-			SegmentsScanned:     sv.recov.Segments,
-		}
-		if sv.storeErr != nil {
-			dur.StoreError = sv.storeErr.Error()
+	st := sv.fd.Status()
+	per := make([]shardStatus, len(st.PerShard))
+	for i, s := range st.PerShard {
+		per[i] = shardStatus{
+			Now: s.Now, Cores: s.Cores, FreeCores: s.FreeCores,
+			Queued: s.Queued, Running: s.Running,
+			Submitted: s.Submitted, Completed: s.Completed,
 		}
 	}
-	sv.mu.Unlock()
-	resp := struct {
-		Now                float64        `json:"now"`
-		Cores              int            `json:"cores"`
-		FreeCores          int            `json:"free_cores"`
-		Queued             int            `json:"queued"`
-		Running            int            `json:"running"`
-		Submitted          int            `json:"submitted"`
-		Completed          int            `json:"completed"`
-		Policy             string         `json:"policy"`
-		InvariantViolation string         `json:"invariant_violation,omitempty"`
-		Durable            *durableStatus `json:"durable,omitempty"`
+	healthy := len(per)
+	if sv.fd.Durable() {
+		for i, h := range sv.fd.Health() {
+			p := &per[i]
+			p.Quarantined, p.StoreError, p.JournalSeq = h.Quarantined, h.StoreErr, h.Seq
+			p.Recovered, p.FromSnapshot, p.Replayed, p.Segments = h.Recovered, h.FromSnapshot, h.Replayed, h.Segments
+			p.SnapshotSeq, p.SnapshotClock = h.SnapshotSeq, h.SnapshotClock
+			if h.Quarantined {
+				healthy--
+			}
+		}
+	}
+	var violation string
+	if st.Err != nil {
+		violation = st.Err.Error()
+	}
+	marshalJSON(w, struct {
+		Now                float64       `json:"now"`
+		Shards             int           `json:"shards"`
+		HealthyShards      int           `json:"healthy_shards"`
+		Draining           bool          `json:"draining,omitempty"`
+		Durable            bool          `json:"durable,omitempty"`
+		Cores              int           `json:"cores"`
+		FreeCores          int           `json:"free_cores"`
+		Queued             int           `json:"queued"`
+		Running            int           `json:"running"`
+		Submitted          int           `json:"submitted"`
+		Completed          int           `json:"completed"`
+		Stolen             int           `json:"stolen"`
+		Policy             string        `json:"policy"`
+		InvariantViolation string        `json:"invariant_violation,omitempty"`
+		PerShard           []shardStatus `json:"per_shard"`
 	}{
-		Now: st.Now, Cores: st.Cores, FreeCores: st.FreeCores,
+		Now: st.Now, Shards: st.Shards, HealthyShards: healthy,
+		Draining: sv.fd.Draining(), Durable: sv.fd.Durable(),
+		Cores: st.Cores, FreeCores: st.FreeCores,
 		Queued: st.Queued, Running: st.Running,
-		Submitted: st.Submitted, Completed: st.Completed, Policy: st.Policy,
-		Durable: dur,
-	}
-	if err != nil {
-		resp.InvariantViolation = err.Error()
-	}
-	marshalJSON(w, resp)
+		Submitted: st.Submitted, Completed: st.Completed,
+		Stolen: st.Stolen, Policy: st.Policy,
+		InvariantViolation: violation, PerShard: per,
+	})
 }
 
-func (sv *server) metrics(w http.ResponseWriter) {
-	sv.mu.Lock()
-	m := sv.s.Metrics()
-	sv.mu.Unlock()
-	marshalJSON(w, struct {
-		Submitted   int     `json:"submitted"`
-		Completed   int     `json:"completed"`
-		Backfilled  int     `json:"backfilled"`
-		MaxQueueLen int     `json:"max_queue_len"`
-		AveBsld     float64 `json:"ave_bsld"`
-		MeanWait    float64 `json:"mean_wait"`
-		MaxBSLD     float64 `json:"max_bsld"`
-		MaxWait     float64 `json:"max_wait"`
-		Utilization float64 `json:"utilization"`
-	}{
+// metricsJSON is the tagged rendering of online.Metrics shared by the
+// merged block and the per-shard list.
+type metricsJSON struct {
+	Submitted   int     `json:"submitted"`
+	Completed   int     `json:"completed"`
+	Backfilled  int     `json:"backfilled"`
+	MaxQueueLen int     `json:"max_queue_len"`
+	AveBsld     float64 `json:"ave_bsld"`
+	MeanWait    float64 `json:"mean_wait"`
+	MaxBSLD     float64 `json:"max_bsld"`
+	MaxWait     float64 `json:"max_wait"`
+	Utilization float64 `json:"utilization"`
+}
+
+func toMetricsJSON(m online.Metrics) metricsJSON {
+	return metricsJSON{
 		Submitted: m.Submitted, Completed: m.Completed, Backfilled: m.Backfilled,
 		MaxQueueLen: m.MaxQueueLen, AveBsld: m.AveBsld, MeanWait: m.MeanWait,
 		MaxBSLD: m.MaxBSLD, MaxWait: m.MaxWait, Utilization: m.Utilization,
-	})
+	}
+}
+
+func (sv *server) metrics(w http.ResponseWriter) {
+	merged, per := sv.fd.Metrics()
+	out := struct {
+		metricsJSON
+		PerShard []metricsJSON `json:"per_shard"`
+	}{metricsJSON: toMetricsJSON(merged), PerShard: make([]metricsJSON, len(per))}
+	for i, m := range per {
+		out.PerShard[i] = toMetricsJSON(m)
+	}
+	marshalJSON(w, out)
 }
 
 // marshalJSON renders a cold-path response through encoding/json.
@@ -414,12 +487,11 @@ func marshalJSON(w http.ResponseWriter, v any) {
 }
 
 // appendStarts renders start notifications into the response buffer.
-func appendStarts(buf []byte, n *int, starts []online.Start) []byte {
-	for _, st := range starts {
-		if *n > 0 {
+func appendStarts(buf []byte, starts []online.Start) []byte {
+	for i, st := range starts {
+		if i > 0 {
 			buf = append(buf, ',')
 		}
-		*n++
 		buf = append(buf, `{"id":`...)
 		buf = strconv.AppendInt(buf, int64(st.ID), 10)
 		buf = append(buf, `,"time":`...)

@@ -3,44 +3,31 @@ package main
 // Daemon-surface telemetry tests: the /metrics exposition is linted
 // against the Prometheus text-format rules over a live scrape, /v1/trace
 // round-trips the decision ring in both formats, /healthz goes non-200
-// the moment the journal latches a failure, and /v1/status carries the
-// recovery provenance across a restart.
+// the moment the journal latches a failure, /v1/status carries the
+// recovery provenance across a restart, and the journal counters count
+// every shard's appends.
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/hpcsched/gensched/internal/durable"
-	"github.com/hpcsched/gensched/internal/online"
-	"github.com/hpcsched/gensched/internal/sched"
-	"github.com/hpcsched/gensched/internal/sim"
 )
 
 // newTelemetryServer is newTestServer with telemetry enabled, returning
 // the server value too so tests can reach inside.
 func newTelemetryServer(t *testing.T, cores, traceCap int) (*server, *httptest.Server) {
 	t.Helper()
-	s, err := online.New(cores, online.Options{
-		Policy:   sched.FCFS(),
-		Backfill: sim.BackfillEASY,
-		Check:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := newServer(s, cores, false)
-	sv.enableTelemetry(traceCap)
-	ts := httptest.NewServer(sv.handler())
-	t.Cleanup(ts.Close)
-	return sv, ts
+	cfg := testConfig(cores)
+	cfg.telemetry, cfg.traceBuf = true, traceCap
+	return startServer(t, cfg)
 }
 
 // driveTraffic pushes the submit/backfill/complete flow from
@@ -63,7 +50,10 @@ func driveTraffic(t *testing.T, ts *httptest.Server) {
 }
 
 func TestScheddHealthzStoreFailure(t *testing.T) {
-	sv, ts := newTelemetryServer(t, 4, 64)
+	dir := t.TempDir()
+	cfg := durableTestConfig(dir, 4)
+	cfg.telemetry, cfg.traceBuf, cfg.ckptEvery = true, 64, 10
+	_, ts := startServer(t, cfg)
 
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -75,11 +65,15 @@ func TestScheddHealthzStoreFailure(t *testing.T) {
 		t.Fatalf("healthy daemon: /healthz = %d, want 200", resp.StatusCode)
 	}
 
-	// Latch a journal failure: the daemon is alive but must stop taking
-	// traffic, and the probe has to say so.
-	sv.mu.Lock()
-	sv.storeErr = errors.New("write wal-000001.log: disk gone")
-	sv.mu.Unlock()
+	// Latch a journal failure: with the data directory gone, the next
+	// checkpoint the clock trips cannot create its snapshot. The daemon
+	// is alive but must stop taking traffic, and the probe has to say so.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code, r := post(t, ts, "/v1/advance", `{"now":100}`); code != 200 {
+		t.Fatalf("advance past the checkpoint interval: code=%d reply=%+v", code, r)
+	}
 
 	resp, err = ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -95,27 +89,39 @@ func TestScheddHealthzStoreFailure(t *testing.T) {
 	}
 }
 
-// statusDurable fetches /v1/status and returns its durable block.
+// durableStatus is a shard's recovery provenance in /v1/status.
+type durableStatus struct {
+	JournalSeq      uint64  `json:"journal_seq"`
+	Recovered       bool    `json:"recovered"`
+	FromSnapshot    bool    `json:"from_snapshot"`
+	SnapshotSeq     uint64  `json:"snapshot_seq"`
+	SnapshotClock   float64 `json:"snapshot_clock"`
+	ReplayedRecords int     `json:"replayed_records"`
+	SegmentsScanned int     `json:"segments_scanned"`
+}
+
+// statusDurable fetches /v1/status and returns shard 0's provenance,
+// nil unless the daemon journals.
 func statusDurable(t *testing.T, ts *httptest.Server) *durableStatus {
 	t.Helper()
 	var st struct {
-		Durable *durableStatus `json:"durable"`
+		Durable  bool            `json:"durable"`
+		PerShard []durableStatus `json:"per_shard"`
 	}
 	get(t, ts, "/v1/status", &st)
-	return st.Durable
+	if !st.Durable || len(st.PerShard) == 0 {
+		return nil
+	}
+	return &st.PerShard[0]
 }
 
 func TestScheddStatusDurableProvenance(t *testing.T) {
 	dir := t.TempDir()
-	init := durable.InitState{Cores: 4, Backfill: int(sim.BackfillEASY), PolicyName: "FCFS"}
+	cfg := durableTestConfig(dir, 4)
 
 	// Boot 1: fresh directory. Provenance says "not recovered"; the
 	// journal already holds the genesis record.
-	sv, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(sv.handler())
+	sv, ts := startServer(t, cfg)
 	dur := statusDurable(t, ts)
 	if dur == nil {
 		t.Fatal("journaled daemon reported no durable block")
@@ -126,16 +132,12 @@ func TestScheddStatusDurableProvenance(t *testing.T) {
 	driveTraffic(t, ts)
 	ts.Close()
 	// Graceful shutdown writes a final checkpoint.
-	if err := sv.shutdownStore(); err != nil {
+	if err := sv.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Boot 2: recovery from that checkpoint, empty journal tail.
-	sv2, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(sv2.handler())
+	sv2, ts2 := startServer(t, cfg)
 	dur = statusDurable(t, ts2)
 	if dur == nil || !dur.Recovered || !dur.FromSnapshot {
 		t.Fatalf("post-restart provenance: %+v", dur)
@@ -156,23 +158,17 @@ func TestScheddStatusDurableProvenance(t *testing.T) {
 		}
 	}
 	ts2.Close()
-	// ...and this time the process dies without a checkpoint.
-	if err := sv2.store.Close(); err != nil {
+	// ...and this time the process dies without a checkpoint: boot 3
+	// recovers from the directory as it stood at that instant.
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	copyDir(t, dir, crashed)
+	if err := sv2.fd.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Boot 3: snapshot plus a journal tail to replay.
-	sv3, err := openDurable(dir, 1, 0, init, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := sv3.shutdownStore(); err != nil {
-			t.Error(err)
-		}
-	}()
-	ts3 := httptest.NewServer(sv3.handler())
-	defer ts3.Close()
+	cfg.dataDir = crashed
+	_, ts3 := startServer(t, cfg)
 	dur = statusDurable(t, ts3)
 	if dur == nil || !dur.Recovered || !dur.FromSnapshot || dur.ReplayedRecords != 2 {
 		t.Fatalf("snapshot+tail recovery provenance: %+v", dur)

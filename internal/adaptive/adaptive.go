@@ -258,11 +258,6 @@ func New(cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// SetTelemetry attaches (or, with nil, detaches) a telemetry sink; see
-// Config.Telemetry. A daemon that enables telemetry after recovery
-// replay uses this to instrument a controller rebuilt from the journal.
-func (c *Controller) SetTelemetry(t *telemetry.Sink) { c.cfg.Telemetry = t }
-
 // Observe records one observed job arrival into the sliding window. In
 // this reproduction the job carries its runtime, so observation at
 // arrival is exact; a production deployment would observe at completion

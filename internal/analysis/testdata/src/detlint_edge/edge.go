@@ -21,7 +21,7 @@ func export(e *telemetry.Edge, w *telemetry.ExpositionWriter) {
 // The logical-clock Sink API is legal everywhere in the boundary: it
 // must draw no diagnostics.
 func sink(s *telemetry.Sink) {
-	s.JobSubmitted(100, 1)
+	s.JobSubmitted(100, 100, 1)
 	s.JobStarted(130, 1, 30, false)
 	s.JobCompleted(250, 1, 30, 1.5)
 	var h telemetry.Histogram

@@ -44,7 +44,7 @@ type Recovered struct {
 }
 
 // Store is an open journal. Methods are not safe for concurrent use; the
-// daemon serializes them under its server mutex.
+// daemon serializes them under the owning shard's lock.
 type Store struct {
 	dir       string
 	syncEvery int

@@ -1,7 +1,7 @@
 // Per-shard durability: each shard owns one WAL+snapshot store under
 // <data-dir>/shard-NNNN/, journals its own mutations under its shard
 // lock, and recovers independently — so federation recovery is N
-// single-engine recoveries plus a deterministic router rebuild, and one
+// independent shard recoveries plus a deterministic router rebuild, and one
 // bad disk latches one shard instead of killing the daemon.
 //
 // # Journal-order contract
@@ -25,8 +25,7 @@
 // — while every healthy shard keeps serving its own substream
 // untouched. The mutation that trips the latch is the exception: it was
 // applied in memory but not journaled, which ShardBrokenError reports
-// as a fatal (non-retryable) condition, exactly like the single-engine
-// daemon's 500.
+// as a fatal (non-retryable) condition: a 500 at the HTTP layer.
 
 package fed
 
@@ -40,7 +39,6 @@ import (
 	"github.com/hpcsched/gensched/internal/online"
 	"github.com/hpcsched/gensched/internal/sched"
 	"github.com/hpcsched/gensched/internal/telemetry"
-	"github.com/hpcsched/gensched/internal/workload"
 )
 
 // ErrDraining is returned for mutations after Drain began. It maps to
@@ -67,8 +65,8 @@ type DurableConfig struct {
 	// Dir is the federation data directory; each shard stores under
 	// Dir/shard-NNNN/. Empty means no durability.
 	Dir string
-	// SyncEvery and CkptEvery carry the single-engine -fsync-every and
-	// -checkpoint-every semantics, per shard (CkptEvery in logical
+	// SyncEvery and CkptEvery carry the daemon's -fsync and
+	// -checkpoint-interval semantics, per shard (CkptEvery in logical
 	// seconds of the shard's own clock; 0 checkpoints only on drain).
 	SyncEvery int
 	CkptEvery float64
@@ -86,14 +84,17 @@ type DurableConfig struct {
 
 // ShardHealth is one shard's durability and degradation status.
 type ShardHealth struct {
-	Durable      bool
-	Quarantined  bool
-	StoreErr     string
-	Seq          uint64 // next journal sequence
-	Recovered    bool
-	FromSnapshot bool
-	Replayed     int
-	Segments     int
+	Durable        bool
+	Quarantined    bool
+	StoreErr       string
+	Seq            uint64  // next journal sequence
+	LastCheckpoint float64 // shard clock at the last checkpoint (or recovery)
+	Recovered      bool
+	FromSnapshot   bool
+	SnapshotSeq    uint64  // journal sequence the recovery snapshot covered
+	SnapshotClock  float64 // shard clock restored from it, before replay
+	Replayed       int
+	Segments       int
 }
 
 // shardDirName is the canonical per-shard directory name.
@@ -145,10 +146,20 @@ func checkShardInit(flags, recorded durable.InitState) error {
 // Open builds a durable federation: adopt any pre-federation layout,
 // recover every shard (concurrently, bounded by cfg.Workers), then
 // rebuild the router deterministically in shard order. With dur.Dir
-// empty it is equivalent to New.
+// empty it is New with the policy descriptors recorded on every shard.
 func Open(cfg Config, dur DurableConfig) (*Federation, error) {
 	if dur.Dir == "" {
-		return New(cfg)
+		f, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		// In memory the descriptors still describe every shard, so a
+		// ShardSnapshot matches a durable twin's byte for byte.
+		for _, sh := range f.shards {
+			sh.init = shardInit(cfg, &dur)
+			sh.policyName, sh.policyExpr = dur.PolicyName, dur.PolicyExpr
+		}
+		return f, nil
 	}
 	if dur.ResolvePolicy == nil {
 		return nil, fmt.Errorf("fed: durable federation needs a policy resolver")
@@ -207,6 +218,13 @@ func Open(cfg Config, dur DurableConfig) (*Federation, error) {
 			f.closeOpenedStores()
 			return nil, fmt.Errorf("fed: shard %d routing state diverged on recovery (vt %v vs %v, stolen %d vs %d)",
 				i, router.VT(i), sh.vt, router.StolenOnto(i), sh.stolenOnto)
+		}
+		if cfg.TraceBuf > 0 {
+			// Journal counters describe this process's appends, and stay
+			// out of the trace ring: a recovered ring is re-derived by
+			// replay, which appends nothing.
+			sh.wal = &telemetry.Sink{}
+			sh.store.SetTelemetry(sh.wal)
 		}
 	}
 	return f, nil
@@ -274,9 +292,6 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 	var s *online.Scheduler
 	polName, polExpr := dur.PolicyName, dur.PolicyExpr
 	if snap := rec.Snapshot; snap != nil {
-		if snap.Adapt != nil {
-			return nil, fmt.Errorf("snapshot carries an adaptive loop; the federation does not run one")
-		}
 		switch {
 		case snap.Fed != nil:
 			if snap.Fed.Shard != i || snap.Fed.Shards != cfg.Shards || snap.Fed.Seed != cfg.Seed {
@@ -305,6 +320,8 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 			out.snapActive = append(out.snapActive, a.ID)
 		}
 		sh.health.FromSnapshot = true
+		sh.health.SnapshotSeq = snap.Seq
+		sh.health.SnapshotClock = s.Clock()
 	} else {
 		if records[0].Op != durable.OpInit {
 			return nil, fmt.Errorf("journal does not begin with an init record")
@@ -327,6 +344,12 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 		return nil, err
 	}
 	sh.initShard(f, s, recInit, polName, polExpr)
+	if snap := rec.Snapshot; snap != nil && snap.Adapt != nil {
+		ac := snap.Adapt.Config
+		if err := sh.startAdapt(f, &ac, &snap.Adapt.State); err != nil {
+			return nil, fmt.Errorf("snapshot adaptive loop: %w", err)
+		}
+	}
 	sh.vt, sh.stolenOnto = out.snapVT, out.snapStolen
 	sh.store = store
 	sh.health.Recovered = true
@@ -338,81 +361,13 @@ func (f *Federation) recoverShardFrom(i int, sh *shard, store *durable.Store, re
 	// mirrors record by record.
 	for k := range records {
 		r := &records[k]
-		if err := sh.applyRecord(f, i, r); err != nil {
+		if _, err := sh.apply(f, i, r, nil); err != nil {
 			return nil, fmt.Errorf("journal replay: record %d (%v): %w", k, r.Op, err)
 		}
 	}
 	sh.lastCkpt = s.Clock()
 	out.records = records
 	return out, nil
-}
-
-// initShard wires a shard's scheduler, telemetry sink and descriptors.
-// The sink attaches before any replay so a recovered shard's trace ring
-// is re-derived record by record, exactly as the live shard built it.
-func (sh *shard) initShard(f *Federation, s *online.Scheduler, init durable.InitState, polName, polExpr string) {
-	sh.s = s
-	sh.init = init
-	sh.policyName, sh.policyExpr = polName, polExpr
-	if f.cfg.TraceBuf > 0 {
-		sh.tel = telemetry.NewSink(f.cfg.TraceBuf)
-		s.SetTelemetry(sh.tel)
-	}
-}
-
-// applyRecord replays one journaled operation against shard-owned
-// state, including the routing mirrors. Identical to the live mutation
-// path minus the journaling itself.
-func (sh *shard) applyRecord(f *Federation, i int, rec *durable.Record) error {
-	switch rec.Op {
-	case durable.OpSubmit:
-		if _, err := sh.s.SubmitAt(rec.Now, rec.Job); err != nil {
-			return err
-		}
-		sh.noteSubmitMirror(f, i, rec.Now, rec.Job)
-		return nil
-	case durable.OpComplete:
-		_, err := sh.s.CompleteAt(rec.Now, rec.ID)
-		return err
-	case durable.OpAdvance:
-		t := rec.Now
-		if c := sh.s.Clock(); t < c {
-			t = c
-		}
-		_, err := sh.s.AdvanceTo(t)
-		return err
-	case durable.OpPolicy:
-		p, err := f.dur.ResolvePolicy(rec.Name, rec.Expr)
-		if err != nil {
-			return err
-		}
-		if err := sh.s.SetPolicy(p); err != nil {
-			return err
-		}
-		sh.policyName, sh.policyExpr = rec.Name, rec.Expr
-		return nil
-	case durable.OpAdaptStart, durable.OpAdaptStop:
-		return fmt.Errorf("adaptive-loop records are a single-engine feature")
-	case durable.OpInit:
-		return fmt.Errorf("unexpected init record mid-journal")
-	}
-	return fmt.Errorf("unexpected journal op %v", rec.Op)
-}
-
-// noteSubmitMirror advances the shard-local routing mirrors for one
-// journaled placement, in journal order. Primary and Occupancy are pure
-// lookups on router construction state (the ring is immutable), safe
-// under sh.mu without the federation lock. The mirrors — not the live
-// router — feed the shard's snapshot, so a checkpoint never captures a
-// placement whose record has not been journaled.
-func (sh *shard) noteSubmitMirror(f *Federation, i int, now float64, j workload.Job) {
-	if i != f.router.Primary(j.ID) {
-		sh.stolenOnto++
-	}
-	if sh.vt < now {
-		sh.vt = now
-	}
-	sh.vt += f.router.Occupancy(j)
 }
 
 // journalLocked appends one applied record to the shard's journal and
@@ -426,9 +381,6 @@ func (f *Federation) journalLocked(sh *shard, i int, rec *durable.Record) error 
 	if err := sh.store.Append(rec); err != nil {
 		f.latchShardLocked(sh, i, err)
 		return &ShardBrokenError{Shard: i, Err: err}
-	}
-	if rec.Op == durable.OpSubmit {
-		sh.noteSubmitMirror(f, i, rec.Now, rec.Job)
 	}
 	if f.dur != nil && f.dur.CkptEvery > 0 && sh.s.Clock()-sh.lastCkpt >= f.dur.CkptEvery {
 		f.checkpointShardLocked(sh, i)
@@ -468,6 +420,9 @@ func (f *Federation) shardSnapshotLocked(sh *shard, i int) (*durable.Snapshot, e
 	if err := sh.s.ExportState(&snap.Sched); err != nil {
 		return nil, err
 	}
+	if sh.ad != nil {
+		snap.Adapt = &durable.AdaptState{Config: *sh.adCfg, State: *sh.ad.ExportState()}
+	}
 	return snap, nil
 }
 
@@ -483,7 +438,7 @@ func (f *Federation) ShardSnapshot(i int) (*durable.Snapshot, error) {
 
 // checkpointShardLocked snapshots one shard and rotates its journal.
 // Failures latch + quarantine rather than failing the request that
-// tripped the cadence, mirroring the single-engine daemon.
+// tripped the cadence.
 func (f *Federation) checkpointShardLocked(sh *shard, i int) {
 	snap, err := f.shardSnapshotLocked(sh, i)
 	if err == nil {
@@ -532,7 +487,7 @@ func (f *Federation) closeShardStore(i int) error {
 		f.checkpointShardLocked(sh, i) // latches on failure
 	}
 	if cerr := sh.store.Close(); sh.storeErr == nil && cerr != nil {
-		sh.storeErr = cerr
+		f.latchShardLocked(sh, i, cerr)
 	}
 	if sh.storeErr != nil {
 		return fmt.Errorf("fed: shard %d: %w", i, sh.storeErr)
@@ -558,6 +513,7 @@ func (f *Federation) Health() []ShardHealth {
 		sh.mu.Lock()
 		h := sh.health
 		h.Durable = sh.store != nil
+		h.LastCheckpoint = sh.lastCkpt
 		if sh.store != nil {
 			h.Seq = sh.store.Seq()
 		}

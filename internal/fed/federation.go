@@ -40,35 +40,6 @@ type Config struct {
 	Workers int
 }
 
-// shard is one engine plus its lock, sink and (in a durable federation)
-// its journal. The scheduler, sink and store are shard-owned
-// single-writer state: every interaction happens under mu, and the
-// supervisor's goroutines touch one shard each.
-type shard struct {
-	mu  sync.Mutex
-	s   *online.Scheduler
-	tel *telemetry.Sink
-
-	// Durability (nil/zero in a non-durable federation). storeErr latches
-	// the first journaling failure; the shard is quarantined in the
-	// router at the same moment and never serves a mutation again.
-	store       *durable.Store
-	storeErr    error
-	storeClosed bool
-	health      ShardHealth // recovery provenance (static after Open)
-	init        durable.InitState
-	policyName  string
-	policyExpr  string
-	lastCkpt    float64
-
-	// Journal-order mirrors of the router's per-shard state: vt is the
-	// fluid clock, stolenOnto the steal attribution, both advanced at
-	// journal-append time so the shard's snapshot reflects exactly the
-	// placements its journal holds — never a placement still in flight.
-	vt         float64
-	stolenOnto int
-}
-
 // Federation is N shard schedulers behind a deterministic router.
 // Methods are safe for concurrent use; requests for different shards
 // run concurrently, and the placement state is serialized so that the
@@ -79,6 +50,7 @@ type Federation struct {
 	mu     sync.Mutex // guards router, draining, drainErr
 	router *Router
 	shards []*shard
+	polMu  sync.Mutex // serializes policy fan-outs so swaps never interleave
 
 	// dur is non-nil for a durable federation (Open with a data dir).
 	dur      *DurableConfig
@@ -101,12 +73,8 @@ func New(cfg Config) (*Federation, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{s: s}
-		if cfg.TraceBuf > 0 {
-			sh.tel = telemetry.NewSink(cfg.TraceBuf)
-			s.SetTelemetry(sh.tel)
-		}
-		f.shards[i] = sh
+		f.shards[i] = &shard{}
+		f.shards[i].initShard(f, s, durable.InitState{}, "", "")
 	}
 	return f, nil
 }
@@ -141,35 +109,17 @@ func (f *Federation) Submit(now float64, j workload.Job, buf []online.Start) (sh
 	if err != nil {
 		return 0, buf, 0, err
 	}
-	sh := f.shards[shardIdx]
-	sh.mu.Lock()
-	// The shard may have latched between Place and here; a quarantined
-	// shard never serves a mutation, so undo the placement and refuse.
-	if sh.storeErr != nil {
-		sh.mu.Unlock()
-		f.mu.Lock()
-		f.router.Release(j.ID)
-		f.mu.Unlock()
-		return shardIdx, buf, 0, &ShardDownError{Shard: shardIdx}
-	}
-	st, serr := sh.s.SubmitAt(now, j)
-	starts = append(buf, st...) // copy out of the scheduler's scratch
-	var jerr error
-	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &durable.Record{Op: durable.OpSubmit, Now: now, Job: j})
-	}
-	clock = sh.s.Clock()
-	sh.mu.Unlock()
-	if serr != nil {
-		f.mu.Lock()
-		f.router.Release(j.ID)
-		f.mu.Unlock()
-		return shardIdx, starts, clock, serr
-	}
+	starts, clock, err = f.mutate(shardIdx, &durable.Record{Op: durable.OpSubmit, Now: now, Job: j}, nil, buf)
 	// A journal failure is reported after the fact: the job IS placed and
 	// queued in memory (the placement stands), it just is not durable —
-	// the fatal condition ShardBrokenError describes.
-	return shardIdx, starts, clock, jerr
+	// the fatal condition ShardBrokenError describes. Any other failure
+	// refused the job, so the router forgets the placement.
+	if err != nil && !isBroken(err) {
+		f.mu.Lock()
+		f.router.Release(j.ID)
+		f.mu.Unlock()
+	}
+	return shardIdx, starts, clock, err
 }
 
 // Complete reports a completion at time now to the shard the job was
@@ -183,31 +133,17 @@ func (f *Federation) Complete(now float64, id int, buf []online.Start) (starts [
 	shardIdx, ok := f.router.Locate(id)
 	f.mu.Unlock()
 	if !ok {
-		return buf, 0, fmt.Errorf("fed: job %d is not placed on any shard", id)
+		return buf, 0, fmt.Errorf("fed: job %d is not active on any shard", id)
 	}
-	sh := f.shards[shardIdx]
-	sh.mu.Lock()
-	if sh.storeErr != nil {
-		sh.mu.Unlock()
-		return buf, 0, &ShardDownError{Shard: shardIdx}
+	starts, clock, err = f.mutate(shardIdx, &durable.Record{Op: durable.OpComplete, Now: now, ID: id}, nil, buf)
+	// The completion applied in memory unless the shard refused it;
+	// release the placement, and on a journal failure report the latch.
+	if err == nil || isBroken(err) {
+		f.mu.Lock()
+		f.router.Release(id)
+		f.mu.Unlock()
 	}
-	st, serr := sh.s.CompleteAt(now, id)
-	starts = append(buf, st...)
-	var jerr error
-	if serr == nil {
-		jerr = f.journalLocked(sh, shardIdx, &durable.Record{Op: durable.OpComplete, Now: now, ID: id})
-	}
-	clock = sh.s.Clock()
-	sh.mu.Unlock()
-	if serr != nil {
-		return starts, clock, serr
-	}
-	// The completion is applied in memory either way; release the
-	// placement and, on a journal failure, report the fatal latch.
-	f.mu.Lock()
-	f.router.Release(id)
-	f.mu.Unlock()
-	return starts, clock, jerr
+	return starts, clock, err
 }
 
 // AdvanceTo moves every shard's clock forward to now (clamped per shard
@@ -222,35 +158,21 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 	}
 	f.mu.Unlock()
 	starts = buf
-	for i, sh := range f.shards {
-		sh.mu.Lock()
-		// A latched shard is frozen: advancing its clock in memory without
-		// a journal record would diverge its durable state.
-		if sh.storeErr != nil {
-			sh.mu.Unlock()
+	for i := range f.shards {
+		// The unclamped request time is journaled; apply clamps against
+		// the shard clock, live and in replay alike.
+		var c float64
+		starts, c, err = f.mutate(i, &durable.Record{Op: durable.OpAdvance, Now: now}, nil, starts)
+		if err != nil && isDown(err) {
+			// A latched shard is frozen: advancing its clock in memory
+			// without a journal record would diverge its durable state.
 			continue
 		}
-		t := now
-		if c := sh.s.Clock(); t < c {
-			t = c
-		}
-		st, aerr := sh.s.AdvanceTo(t)
-		starts = append(starts, st...)
-		var jerr error
-		if aerr == nil {
-			// The unclamped request time is journaled; replay re-clamps
-			// against the shard clock exactly as the live path did.
-			jerr = f.journalLocked(sh, i, &durable.Record{Op: durable.OpAdvance, Now: now})
-		}
-		if c := sh.s.Clock(); c > clock {
+		if c > clock {
 			clock = c
 		}
-		sh.mu.Unlock()
-		if aerr != nil {
-			return starts, clock, aerr
-		}
-		if jerr != nil {
-			return starts, clock, jerr
+		if err != nil {
+			return starts, clock, err
 		}
 	}
 	// Shards were drained in ascending order, so a stable sort by time
@@ -259,21 +181,12 @@ func (f *Federation) AdvanceTo(now float64, buf []online.Start) (starts []online
 	return starts, clock, nil
 }
 
-// SetPolicy hot-swaps the queue policy on every shard, in shard order.
-// A durable federation must use SetPolicyNamed — the journal records a
-// policy by descriptor, not by value.
-func (f *Federation) SetPolicy(p sched.Policy) error {
-	if f.dur != nil {
-		return fmt.Errorf("fed: a durable federation swaps policies by name (SetPolicyNamed)")
-	}
-	return f.setPolicy(p, "", "")
-}
-
 // SetPolicyNamed hot-swaps the queue policy on every shard, in shard
-// order, journaling the swap per shard. It refuses unless every shard is
-// healthy: a policy that lands on a strict subset of shards would make
-// the federation's placement-to-schedule mapping depend on which shard
-// failed when.
+// order, journaling the swap per shard by its (name, expr) descriptor —
+// the form a snapshot or a replay rebuilds it from. It refuses unless
+// every shard is healthy: a policy that lands on a strict subset of
+// shards would make the federation's placement-to-schedule mapping
+// depend on which shard failed when.
 func (f *Federation) SetPolicyNamed(p sched.Policy, name, expr string) error {
 	f.mu.Lock()
 	if f.draining {
@@ -285,25 +198,10 @@ func (f *Federation) SetPolicyNamed(p sched.Policy, name, expr string) error {
 		return fmt.Errorf("fed: refusing policy swap with %d/%d shards quarantined", f.cfg.Shards-h, f.cfg.Shards)
 	}
 	f.mu.Unlock()
-	return f.setPolicy(p, name, expr)
-}
-
-func (f *Federation) setPolicy(p sched.Policy, name, expr string) error {
-	for i, sh := range f.shards {
-		sh.mu.Lock()
-		if sh.storeErr != nil {
-			sh.mu.Unlock()
-			return &ShardDownError{Shard: i}
-		}
-		err := sh.s.SetPolicy(p)
-		if err == nil {
-			err = f.journalLocked(sh, i, &durable.Record{Op: durable.OpPolicy, Name: name, Expr: expr})
-			if err == nil {
-				sh.policyName, sh.policyExpr = name, expr
-			}
-		}
-		sh.mu.Unlock()
-		if err != nil {
+	f.polMu.Lock()
+	defer f.polMu.Unlock()
+	for i := range f.shards {
+		if _, _, err := f.mutate(i, &durable.Record{Op: durable.OpPolicy, Name: name, Expr: expr}, p, nil); err != nil {
 			return err
 		}
 	}
@@ -336,6 +234,7 @@ type Status struct {
 	Stolen    int             // placements diverted by the load fallback
 	Policy    string          //
 	PerShard  []online.Status // indexed by shard
+	Err       error           // the lowest shard's invariant violation (with Opt.Check)
 }
 
 // Status snapshots every shard and merges, in shard order.
@@ -345,6 +244,9 @@ func (f *Federation) Status() Status {
 	for i, sh := range f.shards {
 		sh.mu.Lock()
 		s := sh.s.Status()
+		if st.Err == nil {
+			st.Err = sh.s.Err()
+		}
 		sh.mu.Unlock()
 		st.PerShard[i] = s
 		if s.Now > st.Now {
@@ -407,8 +309,9 @@ func MergeMetrics(per []online.Metrics) online.Metrics {
 	return m
 }
 
-// MergedSink folds every shard's counters and histograms into one sink
-// (traces excluded — see MergedTrace). Nil when telemetry is off.
+// MergedSink folds every shard's counters and histograms, journal
+// counters included, into one sink (traces excluded — see MergedTrace).
+// Nil when telemetry is off.
 func (f *Federation) MergedSink() *telemetry.Sink {
 	if f.cfg.TraceBuf <= 0 {
 		return nil
@@ -417,9 +320,24 @@ func (f *Federation) MergedSink() *telemetry.Sink {
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		m.Merge(sh.tel)
+		m.Merge(sh.wal)
 		sh.mu.Unlock()
 	}
 	return m
+}
+
+// TraceCounts sums every shard's decision-trace counters: events
+// recorded, and events overwritten before export.
+func (f *Federation) TraceCounts() (total, dropped uint64) {
+	for _, sh := range f.shards {
+		sh.mu.Lock()
+		if sh.tel != nil {
+			total += sh.tel.Trace.Total()
+			dropped += sh.tel.Trace.Dropped()
+		}
+		sh.mu.Unlock()
+	}
+	return total, dropped
 }
 
 // ShardSink returns shard i's sink (nil when telemetry is off). The

@@ -13,7 +13,7 @@ func BenchmarkSinkJobLifecycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := float64(i)
-		s.JobSubmitted(now, i)
+		s.JobSubmitted(now, now, i)
 		s.Pass(now, 3)
 		s.JobStarted(now+30, i, 30, i%8 == 0)
 		s.Pass(now+30, 2)
@@ -29,7 +29,7 @@ func BenchmarkSinkDisabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := float64(i)
-		s.JobSubmitted(now, i)
+		s.JobSubmitted(now, now, i)
 		s.Pass(now, 3)
 		s.JobStarted(now+30, i, 30, i%8 == 0)
 		s.Pass(now+30, 2)

@@ -11,7 +11,7 @@ import "sync"
 // Everything else in this package is logical-clock only.
 //
 // Unlike the Sink, Edge is written by concurrent HTTP handler
-// goroutines outside the server mutex, so it carries its own lock —
+// goroutines outside any shard lock, so it carries its own lock —
 // the edge path can afford one; the scheduler hot path cannot. The
 // endpoint set is fixed at construction, so the map itself is never
 // mutated and a scrape never observes a half-built series.

@@ -62,6 +62,22 @@ func (w *ExpositionWriter) Gauge(name, help string, v float64) {
 	w.buf = append(w.buf, '\n')
 }
 
+// GaugeVec emits one gauge family with one sample per index, labeled
+// label="<index>" — per-shard gauges, in shard order.
+func (w *ExpositionWriter) GaugeVec(name, help, label string, vs []float64) {
+	w.header(name, help, "gauge")
+	for i, v := range vs {
+		w.buf = append(w.buf, name...)
+		w.buf = append(w.buf, '{')
+		w.buf = append(w.buf, label...)
+		w.buf = append(w.buf, `="`...)
+		w.buf = strconv.AppendInt(w.buf, int64(i), 10)
+		w.buf = append(w.buf, `"} `...)
+		w.buf = appendValue(w.buf, v)
+		w.buf = append(w.buf, '\n')
+	}
+}
+
 // histSamples emits the _bucket/_sum/_count samples for one snapshot
 // under the family name, with extraLabel (`key="value"` form, may be
 // empty) spliced before the le label. Buckets are cumulative; empty
@@ -171,7 +187,13 @@ func WriteSink(w *ExpositionWriter, s *Sink) {
 	w.Histogram("gensched_adapt_drift_nats", "Adaptive KL drift per round (finite rounds).", &s.Drift)
 	w.Histogram("gensched_wal_sync_batch_records", "Records covered per fsync batch.", &s.SyncBatch)
 	if s.Trace != nil {
-		w.Counter("gensched_trace_events_total", "Decision-trace events recorded.", s.Trace.Total())
-		w.Counter("gensched_trace_events_dropped_total", "Decision-trace events overwritten before export.", s.Trace.Dropped())
+		WriteTraceCounters(w, s.Trace.Total(), s.Trace.Dropped())
 	}
+}
+
+// WriteTraceCounters renders the decision-trace counters. A merged view
+// over several sinks passes the sums of rings it does not merge.
+func WriteTraceCounters(w *ExpositionWriter, total, dropped uint64) {
+	w.Counter("gensched_trace_events_total", "Decision-trace events recorded.", total)
+	w.Counter("gensched_trace_events_dropped_total", "Decision-trace events overwritten before export.", dropped)
 }

@@ -11,7 +11,7 @@ import "math"
 //
 // An enabled hook is plain arithmetic on single-writer state: the
 // scheduler thread is the only writer, and readers synchronize on the
-// writer's external lock (the daemon's server mutex) — see the package
+// writer's external lock (the daemon's shard lock) — see the package
 // comment for why the hot path carries no atomics of its own.
 type Sink struct {
 	// Counters.
@@ -91,13 +91,16 @@ func (s *Sink) traceFast(time float64, kind EventKind, job int64, a, b float64) 
 	}
 }
 
-// JobSubmitted records a job entering the queue at logical time now.
-func (s *Sink) JobSubmitted(now float64, id int) {
+// JobSubmitted records a job entering the queue at logical time now;
+// submit is the job's own submit time, earlier than now when the
+// arrival is reported late. Stamping the event with now keeps every
+// trace ring in clock order, which the merged trace relies on.
+func (s *Sink) JobSubmitted(now, submit float64, id int) {
 	if s == nil {
 		return
 	}
 	s.Submitted.Inc()
-	s.traceFast(now, EvSubmit, int64(id), now, 0)
+	s.traceFast(now, EvSubmit, int64(id), submit, 0)
 }
 
 // JobStarted records a job start. backfilled distinguishes a queue-head

@@ -17,10 +17,10 @@
 //
 // Counter, Histogram, Tracer and Sink are PLAIN, SINGLE-WRITER state:
 // no atomics, no internal locks. Every instrumented event is emitted
-// from the single scheduler thread (the daemon serializes all scheduler
-// mutations under one server mutex; the adaptive loop's internal worker
-// pools emit nothing), and readers — /metrics scrapes, /v1/trace
-// exports — synchronize on that same external mutex. The replay and
+// from one scheduler thread at a time (the daemon serializes each
+// shard's mutations under that shard's lock; the adaptive loop's
+// internal worker pools emit nothing), and readers — /metrics scrapes,
+// /v1/trace exports — synchronize on that same external lock. The replay and
 // differential suites are single-goroutine, so they need no lock at
 // all. This is what keeps a hook down to a few nanoseconds of plain
 // arithmetic — the CI ratio gate bounds the instrumented submit path to
@@ -30,7 +30,7 @@
 // identical across worker counts, which the golden-trace tests pin.
 //
 // Edge is the exception: HTTP handlers record latencies concurrently,
-// outside the server mutex, so Edge carries its own internal lock.
+// outside any shard lock, so Edge carries its own internal lock.
 package telemetry
 
 import "math"

@@ -234,7 +234,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 // sink is a no-op, not a panic.
 func TestNilSink(t *testing.T) {
 	var s *Sink
-	s.JobSubmitted(0, 1)
+	s.JobSubmitted(0, 0, 1)
 	s.JobStarted(1, 1, 1, true)
 	s.JobCompleted(2, 1, 1, 1)
 	s.Pass(2, 3)
@@ -256,15 +256,15 @@ func TestNilSink(t *testing.T) {
 // TestConcurrentScrape exercises the documented concurrency discipline
 // under -race: the Sink is plain single-writer state, so the writer (a
 // stand-in for the scheduler thread) and the scrapers synchronize on
-// one shared mutex — exactly how the daemon guards the sink with its
-// server mutex. The Edge, by contrast, is hammered from several
+// one shared mutex — exactly how the daemon guards a shard's sink with
+// the shard lock. The Edge, by contrast, is hammered from several
 // goroutines with NO external lock, because its contract is internal
 // locking. The scrape checks also pin internal monotonicity: a
 // snapshot's +Inf cumulative always equals its own total.
 func TestConcurrentScrape(t *testing.T) {
 	s := NewSink(256)
 	e := NewEdge("submit", "status")
-	var mu sync.Mutex // plays the daemon's server mutex
+	var mu sync.Mutex // plays the daemon's shard lock
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -278,7 +278,7 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 			now := float64(i)
 			mu.Lock()
-			s.JobSubmitted(now, i)
+			s.JobSubmitted(now, now, i)
 			s.JobStarted(now, i, float64(i%97), i%3 == 0)
 			s.JobCompleted(now, i, float64(i%97), 1+float64(i%11))
 			s.Pass(now, i%13)

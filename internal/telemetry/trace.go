@@ -96,7 +96,7 @@ type strEntry struct {
 // so consumers can detect gaps. Like the rest of the Sink, the tracer
 // is plain single-writer state: Record runs on the scheduler thread,
 // a hot path where it must cost one compact store, and any concurrent
-// reader holds the writer's external lock (the daemon's server mutex).
+// reader holds the writer's external lock (the daemon's shard lock).
 type Tracer struct {
 	ring []slot
 	mask uint64     // len(ring)-1; the ring length is a power of two
